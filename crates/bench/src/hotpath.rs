@@ -120,12 +120,13 @@ pub struct HotShardLoop {
     hist: Vec<HistogramEntry>,
     published_entries: usize,
     dirty: bool,
-    hist_seed: u64,
 }
 
 impl HotShardLoop {
-    /// Builds a loop for one shard.
-    pub fn new(shard: usize, params: HotPathParams) -> Self {
+    /// Builds a loop for one shard. The shard index is unused (the
+    /// histogram kernel needs no per-shard seed); it keeps the signature
+    /// of [`LegacyShardLoop::new`].
+    pub fn new(_shard: usize, params: HotPathParams) -> Self {
         Self {
             hh: InfiniteHeavyHitters::new(params.phi, params.epsilon),
             count_min: AtomicCountMin::new(params.cm_epsilon, params.cm_delta, params.cm_seed),
@@ -134,23 +135,13 @@ impl HotShardLoop {
             hist: Vec::new(),
             published_entries: 0,
             dirty: false,
-            hist_seed: 0x5eed_0000 ^ shard as u64,
         }
     }
 
     /// One batch through the rebuilt path: one scratch-reused histogram
     /// shared by both summaries, lock-free sketch adds, lazy publication.
     pub fn ingest(&mut self, minibatch: &[u64]) {
-        self.hist_seed = self
-            .hist_seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(1);
-        build_hist_into(
-            minibatch,
-            self.hist_seed,
-            &mut self.hist_scratch,
-            &mut self.hist,
-        );
+        build_hist_into(minibatch, 0, &mut self.hist_scratch, &mut self.hist);
         let cutoff = self
             .hh
             .process_histogram(&self.hist, minibatch.len() as u64);

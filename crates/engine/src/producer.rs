@@ -289,7 +289,6 @@ struct LocalProducer {
     /// Substream index (`engine shards + registration position`), used as
     /// the snapshot's shard id.
     index: usize,
-    hist_seed: u64,
     hist_scratch: HistScratch,
     hist: Vec<HistogramEntry>,
     epoch: u64,
@@ -320,7 +319,6 @@ impl LocalProducer {
             heavy_hitters,
             shared,
             index,
-            hist_seed: 0x5eed_0000 ^ index as u64,
             hist_scratch: HistScratch::new(),
             hist: Vec::new(),
             epoch: 0,
@@ -343,16 +341,7 @@ impl LocalProducer {
         let Some(_guard) = fence.enter() else {
             return Err(EngineClosed);
         };
-        self.hist_seed = self
-            .hist_seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(1);
-        build_hist_into(
-            minibatch,
-            self.hist_seed,
-            &mut self.hist_scratch,
-            &mut self.hist,
-        );
+        build_hist_into(minibatch, 0, &mut self.hist_scratch, &mut self.hist);
         let len = minibatch.len() as u64;
         let cutoff = self.heavy_hitters.process_histogram(&self.hist, len);
         self.shared.count_min.ingest_histogram(&self.hist);

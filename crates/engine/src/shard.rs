@@ -6,13 +6,18 @@
 //! steady state, allocation-free**:
 //!
 //! * the per-minibatch histogram is built into reusable scratch
-//!   ([`psfa_primitives::build_hist_into`]) and shared by the heavy-hitter
-//!   tracker, the open window pane, and the Count-Min sketch — one pass,
-//!   zero allocations;
-//! * the Count-Min sketch is a [`psfa_sketch::AtomicCountMin`]: the worker
-//!   adds with relaxed atomics and point queries read concurrently with no
-//!   mutex (the one-sided overestimate survives relaxed ordering — see
-//!   that module's docs);
+//!   ([`psfa_primitives::build_hist_into`]: one pass of linear probing
+//!   keyed by simple tabulation hashing, `O(1)` expected probes per item)
+//!   and shared by the heavy-hitter tracker, the open window pane, and the
+//!   Count-Min sketch — one pass, zero allocations;
+//! * `MGaugment` ([`psfa_freq::MgSummary::augment`]) probes the `≤ S`-entry
+//!   summary per histogram entry and inserts only the misses that survive
+//!   the cut-off, so its map never grows;
+//! * the Count-Min sketch is a [`psfa_sketch::AtomicCountMin`] and this
+//!   worker is its only writer: it updates each counter with a relaxed
+//!   load + store (no atomic RMW), and point queries read concurrently
+//!   with no mutex (the one-sided overestimate survives relaxed ordering
+//!   — see that module's docs);
 //! * finished sub-batch buffers are returned to the engine's
 //!   [`psfa_stream::BufferPool`] return lanes, so producers reuse their
 //!   capacity instead of allocating per batch;
@@ -427,10 +432,6 @@ pub(crate) struct ShardWorker {
     /// Sealed views of the last few boundaries, oldest first (see
     /// [`WINDOW_HISTORY`]).
     window_history: VecDeque<Arc<SealedWindow>>,
-    /// Seed for the per-minibatch histogram shared between the
-    /// heavy-hitter tracker, the open window pane, and the Count-Min
-    /// sketch.
-    hist_seed: u64,
     /// Reusable histogram scratch + output: the per-batch histogram pass
     /// allocates nothing after warm-up.
     hist_scratch: HistScratch,
@@ -515,7 +516,6 @@ impl ShardWorker {
             heavy_hitters,
             window,
             window_history,
-            hist_seed: 0x5eed_0000 ^ shard as u64,
             hist_scratch: HistScratch::new(),
             hist: Vec::new(),
             pool,
@@ -594,7 +594,6 @@ impl ShardWorker {
             heavy_hitters,
             window,
             window_history,
-            hist_seed: 0x5eed_0000 ^ shard as u64,
             hist_scratch: HistScratch::new(),
             hist: Vec::new(),
             pool,
@@ -883,16 +882,7 @@ impl ShardWorker {
         // observability disabled this reads no clock at all; enabled, it
         // costs two clock reads and one relaxed RMW per *batch*.
         let service_start = self.obs.as_ref().map(|obs| obs.now_ns());
-        self.hist_seed = self
-            .hist_seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(1);
-        build_hist_into(
-            &minibatch,
-            self.hist_seed,
-            &mut self.hist_scratch,
-            &mut self.hist,
-        );
+        build_hist_into(&minibatch, 0, &mut self.hist_scratch, &mut self.hist);
         let len = minibatch.len() as u64;
         let cutoff = self.heavy_hitters.process_histogram(&self.hist, len);
         if let Some(window) = &mut self.window {

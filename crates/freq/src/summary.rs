@@ -28,16 +28,25 @@ const VERSION: u8 = 1;
 #[derive(Debug)]
 pub struct MgSummary {
     capacity: usize,
+    /// Never holds more than `capacity` entries. Keyed by the standard
+    /// per-process random `RandomState`: MG keys can arrive over the wire,
+    /// so the map keeps its HashDoS resistance.
     entries: HashMap<u64, u64>,
-    /// Reusable counter-value buffer for the cut-off selection in
+    /// Histogram entries that missed the summary in the current
     /// [`MgSummary::augment`]; pure scratch, excluded from equality and
     /// cloning.
+    candidates: Vec<HistogramEntry>,
+    /// Reusable counter-value buffer for the cut-off selection in
+    /// [`MgSummary::augment`]; pure scratch as well.
     scratch: Vec<u64>,
-    /// High-water mark of the map reservation target (`2·(S + p)` for the
-    /// widest batch seen). Monotone on purpose: `HashMap::capacity()` dips
-    /// as `retain` leaves tombstones behind, so re-deriving the guard from
-    /// it would re-reserve (and possibly reallocate) in steady state.
-    reserved: usize,
+}
+
+/// A map for a summary of capacity `S`, sized once for `2S` so that it
+/// never reallocates: the summary holds at most `S` live entries, and a
+/// table at most half full reclaims the tombstones `retain` leaves behind
+/// by rehashing in place inside its existing allocation.
+fn summary_map(capacity: usize) -> HashMap<u64, u64> {
+    HashMap::with_capacity(2 * capacity)
 }
 
 impl Clone for MgSummary {
@@ -48,10 +57,8 @@ impl Clone for MgSummary {
         Self {
             capacity: self.capacity,
             entries: self.entries.clone(),
+            candidates: Vec::new(),
             scratch: Vec::new(),
-            // The cloned map is sized for its current entries, not the
-            // original's reservation, so the clone starts cold.
-            reserved: 0,
         }
     }
 }
@@ -73,9 +80,9 @@ impl MgSummary {
         assert!(capacity >= 1, "summary capacity must be at least 1");
         Self {
             capacity,
-            entries: HashMap::with_capacity(capacity + 1),
+            entries: summary_map(capacity),
+            candidates: Vec::new(),
             scratch: Vec::new(),
-            reserved: 0,
         }
     }
 
@@ -92,7 +99,7 @@ impl MgSummary {
     /// `capacity`.
     pub fn from_entries(capacity: usize, entries: &[(u64, u64)]) -> Self {
         assert!(capacity >= 1, "summary capacity must be at least 1");
-        let mut map = HashMap::with_capacity(capacity + 1);
+        let mut map = summary_map(capacity);
         for &(item, count) in entries {
             if count > 0 {
                 map.insert(item, count);
@@ -105,8 +112,8 @@ impl MgSummary {
         Self {
             capacity,
             entries: map,
+            candidates: Vec::new(),
             scratch: Vec::new(),
-            reserved: 0,
         }
     }
 
@@ -158,57 +165,58 @@ impl MgSummary {
     /// `MGaugment` (Lemma 5.3): merges a minibatch histogram into the summary.
     ///
     /// Runs in `O(S + p)` work where `p` is the number of distinct items in
-    /// the histogram. Returns the cut-off `ϕ` that was applied (useful for
-    /// instrumentation; `0` means no counter was decremented).
+    /// the histogram, whose items must be distinct. Returns the cut-off `ϕ`
+    /// that was applied (useful for instrumentation; `0` means no counter
+    /// was decremented).
     ///
-    /// The combine–select–subtract steps mutate the counter map **in
-    /// place** (the map is the combined set once the histogram is added;
-    /// `retain` keeps its table). The map and the selection buffer are
-    /// pre-sized to the transient combined set `S + p` before combining,
-    /// so once they have grown to the largest batch seen, an augment
-    /// performs **zero** heap allocations — no mid-combine rehash even
-    /// when `p` spikes. This is the per-minibatch core of the engine's
-    /// ingest hot path (asserted by E13's counting-allocator audit).
+    /// The combined set of step 1 is never materialised in the map: each
+    /// histogram entry probes the `≤ S`-entry summary, hits add their
+    /// counts in place, and misses are set aside as candidates. `ϕ` is
+    /// selected over the `S + p` combined values; the summary then
+    /// subtracts `ϕ` and keeps its positive counters, and only the
+    /// candidates above `ϕ` are inserted. The result equals combining
+    /// everything and then cutting, but the map never holds more than `S`
+    /// entries, so it never grows. Once the candidate and selection
+    /// buffers have grown to the widest batch seen, an augment performs
+    /// **zero** heap allocations — this is the per-minibatch core of the
+    /// engine's ingest hot path (asserted by E13's counting-allocator
+    /// audit).
     pub fn augment(&mut self, histogram: &[HistogramEntry]) -> u64 {
-        // Pre-size for the transient combined set: the map holds up to
-        // S + p entries between step 1 and step 3. The target is *twice*
-        // that so the hash table always has room to reclaim the tombstones
-        // `retain` leaves behind by rehashing in place inside its existing
-        // allocation — at `2·(S + p)` the live set never crosses the
-        // half-full threshold that would force a reallocating resize. The
-        // guard is the monotone `reserved` high-water mark, not
-        // `HashMap::capacity()` (which dips as tombstones accumulate), so
-        // after the widest batch has been seen once no augment ever
-        // reserves, rehashes mid-combine, or allocates again.
-        let combined = 2 * (self.capacity + histogram.len());
-        if combined > self.reserved {
-            self.reserved = combined;
-            self.entries
-                .reserve(combined.saturating_sub(self.entries.len()));
-        }
-        // Step 1: combine counters (the map transiently holds up to
-        // S + p entries).
+        // Step 1: combine counters of tracked items; set the rest aside.
+        self.candidates.clear();
         for e in histogram {
-            *self.entries.entry(e.item).or_insert(0) += e.count;
+            match self.entries.get_mut(&e.item) {
+                Some(count) => *count += e.count,
+                None => self.candidates.push(*e),
+            }
         }
-        if self.entries.len() <= self.capacity {
-            // `phi_cutoff` is 0 whenever at most S counters exist; skip
-            // even reading the values out.
+        let combined = self.entries.len() + self.candidates.len();
+        if combined <= self.capacity {
+            // `phi_cutoff` is 0 whenever at most S counters exist.
+            for e in &self.candidates {
+                let fresh = self.entries.insert(e.item, e.count).is_none();
+                debug_assert!(fresh, "augment: histogram item {} repeated", e.item);
+            }
             return 0;
         }
 
         // Step 2: find the cut-off ϕ such that at most S counters exceed it.
         self.scratch.clear();
-        self.scratch.reserve(self.entries.len());
+        self.scratch.reserve(self.capacity + histogram.len());
         self.scratch.extend(self.entries.values().copied());
+        self.scratch.extend(self.candidates.iter().map(|e| e.count));
         let phi = phi_cutoff_in_place(&mut self.scratch, self.capacity);
 
         // Step 3: subtract ϕ and keep the strictly positive counters.
-        if phi > 0 {
-            self.entries.retain(|_, count| {
-                *count = count.saturating_sub(phi);
-                *count > 0
-            });
+        self.entries.retain(|_, count| {
+            *count = count.saturating_sub(phi);
+            *count > 0
+        });
+        for e in &self.candidates {
+            if e.count > phi {
+                let fresh = self.entries.insert(e.item, e.count - phi).is_none();
+                debug_assert!(fresh, "augment: histogram item {} repeated", e.item);
+            }
         }
         debug_assert!(self.entries.len() <= self.capacity);
         phi
@@ -271,6 +279,8 @@ impl MgSummary {
                 "mg-summary: more entries than capacity",
             ));
         }
+        // Sized by the validated entry count, not the untrusted capacity;
+        // the map reaches its `2S` steady state within a few augments.
         let mut entries = HashMap::with_capacity(len);
         let mut prev: Option<u64> = None;
         for _ in 0..len {
@@ -290,8 +300,8 @@ impl MgSummary {
         Ok(Self {
             capacity: capacity as usize,
             entries,
+            candidates: Vec::new(),
             scratch: Vec::new(),
-            reserved: 0,
         })
     }
 
@@ -435,33 +445,90 @@ mod tests {
 
     #[test]
     fn augment_presizes_for_the_combined_set_and_stops_growing() {
-        // After the widest batch has been seen, the reservation target and
-        // the scratch buffer are fixed and the map stays within its warm
-        // allocation — the allocation-free steady state E13 audits with a
-        // counting allocator. `HashMap::capacity()` itself is not asserted
-        // exactly: it dips nondeterministically as `retain` leaves
-        // tombstones behind, which is precisely why the reservation guard
-        // is the monotone `reserved` mark.
+        // The map is reserved once, at construction, for 2S entries and
+        // never grows with batch width: it holds at most S live entries.
+        // The selection scratch is sized for the combined set S + p by the
+        // first batch of width p and then stays put — the allocation-free
+        // steady state E13 audits with a counting allocator.
+        // `HashMap::capacity()` dips as `retain` leaves tombstones behind,
+        // so the map is bounded by its construction-time table, not
+        // compared for equality.
         let mut s = MgSummary::new(8);
+        let map_cap = s.entries.capacity();
+        assert!(map_cap >= 2 * 8, "map not reserved for 2S");
         let batch: Vec<(u64, u64)> = (0..50u64).map(|i| (i, 1 + i % 3)).collect();
         s.augment(&hist(&batch));
-        assert_eq!(s.reserved, 2 * (8 + 50), "map not pre-sized for 2(S + p)");
         let scratch_cap = s.scratch.capacity();
-        assert!(scratch_cap >= 50, "scratch not sized for the combined set");
+        let candidates_cap = s.candidates.capacity();
+        assert!(scratch_cap >= 8 + 50, "scratch not sized for S + p");
         for round in 1..50u64 {
             // Fresh distinct items every round, same batch width.
             let b: Vec<(u64, u64)> = (0..50u64).map(|i| (i * 31 + round * 1000, 2)).collect();
             s.augment(&hist(&b));
-            assert_eq!(s.reserved, 2 * (8 + 50), "reservation target moved");
+            assert!(s.len() <= 8);
             assert_eq!(s.scratch.capacity(), scratch_cap, "scratch regrew");
-            // Loose ceiling: a steady-state resize would double the table
-            // well past the reservation target.
-            assert!(s.entries.capacity() <= 2 * s.reserved, "map regrew");
+            assert_eq!(s.candidates.capacity(), candidates_cap, "candidates regrew");
+            assert!(s.entries.capacity() <= map_cap, "map regrew");
         }
-        // A wider batch raises the high-water mark exactly once.
+        // A wider batch grows the scratch once; the map stays put.
         let wide: Vec<(u64, u64)> = (0..100u64).map(|i| (i + 1_000_000, 1)).collect();
         s.augment(&hist(&wide));
-        assert_eq!(s.reserved, 2 * (8 + 100));
+        assert!(s.scratch.capacity() >= 8 + 100);
+        assert!(s.entries.capacity() <= map_cap, "map grew with batch width");
+    }
+
+    /// The combine-all-then-cut `MGaugment` this module used to run: add
+    /// every histogram entry into one map, select ϕ over all of it, cut.
+    fn combine_then_cut(
+        entries: &mut HashMap<u64, u64>,
+        capacity: usize,
+        h: &[HistogramEntry],
+    ) -> u64 {
+        for e in h {
+            *entries.entry(e.item).or_insert(0) += e.count;
+        }
+        if entries.len() <= capacity {
+            return 0;
+        }
+        let values: Vec<u64> = entries.values().copied().collect();
+        let phi = psfa_primitives::phi_cutoff(&values, capacity);
+        entries.retain(|_, count| {
+            *count = count.saturating_sub(phi);
+            *count > 0
+        });
+        phi
+    }
+
+    #[test]
+    fn augment_is_bit_identical_to_combine_then_cut() {
+        let mut state = 0x5EED_u64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        for capacity in [1usize, 2, 7, 64, 300] {
+            let mut summary = MgSummary::new(capacity);
+            let mut oracle = HashMap::new();
+            for _ in 0..64 {
+                // Histograms over a key space a few times the capacity, so
+                // batches mix hits, misses, ties and evictions.
+                let keys = 1 + next(4 * capacity as u64 + 8);
+                let width = next(3 * capacity as u64 + 4);
+                let mut counts: HashMap<u64, u64> = HashMap::new();
+                for _ in 0..width {
+                    *counts.entry(next(keys)).or_insert(0) += 1 + next(5) * next(3);
+                }
+                let h: Vec<HistogramEntry> = counts
+                    .into_iter()
+                    .map(|(item, count)| HistogramEntry { item, count })
+                    .collect();
+                let phi = summary.augment(&h);
+                assert_eq!(phi, combine_then_cut(&mut oracle, capacity, &h));
+                assert_eq!(summary.entries, oracle, "capacity {capacity}");
+            }
+        }
     }
 
     #[test]

@@ -3,15 +3,16 @@
 //! Two constructions are provided:
 //!
 //! * [`MultiplyShiftHash`] — the classic multiply–shift scheme mapping 64-bit
-//!   keys into a power-of-two range. It is 2-universal, cheap, and is what
-//!   the Count-Min sketch rows (Section 6) use, matching the paper's
-//!   requirement of a pairwise-independent family.
+//!   keys into a power-of-two range. It is 2-universal and cheap.
 //! * [`PolynomialHash`] — degree-(k−1) polynomial hashing over the Mersenne
-//!   prime `2^61 − 1`, giving a k-wise independent family. `buildHist`
-//!   (Theorem 2.3) asks for an `O(log µ)`-wise independent family so that the
-//!   balls-and-bins argument bounding the per-bucket distinct count goes
-//!   through; we use `k = 8` by default which is enough for every minibatch
-//!   size exercised in the experiments.
+//!   prime `2^61 − 1`, giving a k-wise independent family. The Count-Min
+//!   and Count-Sketch rows (Section 6) use `k = 2`, the pairwise
+//!   independence the paper requires; the parallel `buildHist`
+//!   (Theorem 2.3) asks for an `O(log µ)`-wise independent family so that
+//!   the balls-and-bins argument bounding the per-bucket distinct count
+//!   goes through, and uses `k = 8`. The coefficients are stored inline
+//!   (`k ≤` [`MAX_INDEPENDENCE`]), so every sketch row evaluates its hash
+//!   without a heap indirection.
 //!
 //! Both families are deterministic functions of their seed, so experiments
 //! are reproducible.
@@ -81,12 +82,18 @@ impl HashFamily for MultiplyShiftHash {
     }
 }
 
+/// Largest independence `k` a [`PolynomialHash`] supports. The
+/// coefficients live inline, so a row hash is one flat value.
+pub const MAX_INDEPENDENCE: usize = 8;
+
 /// k-wise independent polynomial hashing over the Mersenne prime `2^61 − 1`,
 /// reduced into an arbitrary range.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct PolynomialHash {
-    /// Polynomial coefficients, constant term last; degree = k − 1.
-    coeffs: Vec<u64>,
+    /// Polynomial coefficients, constant term last; only the first `k` are
+    /// used, and the degree is `k − 1`.
+    coeffs: [u64; MAX_INDEPENDENCE],
+    k: usize,
     range: u64,
 }
 
@@ -94,12 +101,18 @@ impl PolynomialHash {
     /// Creates a `k`-wise independent hash function into `0..range`.
     ///
     /// # Panics
-    /// Panics if `k == 0` or `range == 0`.
+    /// Panics unless `1 ≤ k ≤ MAX_INDEPENDENCE`, or if `range == 0`.
     pub fn new<R: RngCore>(k: usize, range: u64, rng: &mut R) -> Self {
-        assert!(k >= 1, "PolynomialHash: k must be at least 1");
+        assert!(
+            (1..=MAX_INDEPENDENCE).contains(&k),
+            "PolynomialHash: k must be in 1..=MAX_INDEPENDENCE"
+        );
         assert!(range >= 1, "PolynomialHash: range must be at least 1");
-        let coeffs = (0..k).map(|_| rng.gen_range(0..MERSENNE_61)).collect();
-        Self { coeffs, range }
+        let mut coeffs = [0u64; MAX_INDEPENDENCE];
+        for c in &mut coeffs[..k] {
+            *c = rng.gen_range(0..MERSENNE_61);
+        }
+        Self { coeffs, k, range }
     }
 
     /// Creates a deterministic instance from an integer seed.
@@ -107,54 +120,38 @@ impl PolynomialHash {
         let mut rng = StdRng::seed_from_u64(seed);
         Self::new(k, range, &mut rng)
     }
-
-    /// Re-derives this instance in place, exactly as
-    /// [`PolynomialHash::from_seed`] with the same arguments would, reusing
-    /// the coefficient buffer — allocation-free once its capacity reaches
-    /// `k`. For per-batch reseeding on hot paths (`build_hist_into`).
-    ///
-    /// # Panics
-    /// Panics if `k == 0` or `range == 0`.
-    pub fn reseed(&mut self, k: usize, range: u64, seed: u64) {
-        assert!(k >= 1, "PolynomialHash: k must be at least 1");
-        assert!(range >= 1, "PolynomialHash: range must be at least 1");
-        let mut rng = StdRng::seed_from_u64(seed);
-        self.coeffs.clear();
-        self.coeffs
-            .extend((0..k).map(|_| rng.gen_range(0..MERSENNE_61)));
-        self.range = range;
-    }
-
-    /// Default family used by `buildHist`: 8-wise independence.
-    pub fn for_histogram<R: RngCore>(range: u64, rng: &mut R) -> Self {
-        Self::new(8, range, rng)
-    }
 }
 
 /// Multiplication modulo the Mersenne prime `2^61 − 1` without overflow.
+#[inline(always)]
 fn mul_mod_m61(a: u64, b: u64) -> u64 {
     let prod = (a as u128) * (b as u128);
     let lo = (prod & MERSENNE_61 as u128) as u64;
     let hi = (prod >> 61) as u64;
-    let mut s = lo + hi;
+    reduce_once(lo + hi)
+}
+
+/// Maps `s < 2^62` with `s < 2·(2^61 − 1)` into `0..2^61 − 1`.
+#[inline(always)]
+fn reduce_once(s: u64) -> u64 {
     if s >= MERSENNE_61 {
-        s -= MERSENNE_61;
+        s - MERSENNE_61
+    } else {
+        s
     }
-    s
 }
 
 impl HashFamily for PolynomialHash {
+    #[inline]
     fn hash(&self, key: u64) -> u64 {
-        let x = key % MERSENNE_61;
-        let mut acc = 0u64;
-        // Horner evaluation of the degree-(k-1) polynomial.
-        for &c in &self.coeffs {
-            acc = mul_mod_m61(acc, x);
-            acc += c;
-            if acc >= MERSENNE_61 {
-                acc -= MERSENNE_61;
-            }
-        }
+        // key mod 2^61 − 1: 2^61 ≡ 1, so fold the top three bits down.
+        let x = reduce_once((key & MERSENNE_61) + (key >> 61));
+        // Horner evaluation of the degree-(k−1) polynomial at x.
+        let acc = self.coeffs[1..self.k]
+            .iter()
+            .fold(self.coeffs[0], |acc, &c| {
+                reduce_once(mul_mod_m61(acc, x) + c)
+            });
         acc % self.range
     }
 
@@ -236,6 +233,57 @@ mod tests {
             let want = ((a as u128 * b as u128) % MERSENNE_61 as u128) as u64;
             assert_eq!(mul_mod_m61(a, b), want, "a={a} b={b}");
         }
+    }
+
+    /// The textbook Horner loop over a heap coefficient list, reducing
+    /// with `%` at every step.
+    fn reference_hash(coeffs: &[u64], range: u64, key: u64) -> u64 {
+        let x = key % MERSENNE_61;
+        let mut acc = 0u64;
+        for &c in coeffs {
+            acc = ((acc as u128 * x as u128 + c as u128) % MERSENNE_61 as u128) as u64;
+        }
+        acc % range
+    }
+
+    #[test]
+    fn polynomial_matches_the_generic_horner_loop() {
+        let keys = [
+            0,
+            1,
+            MERSENNE_61 - 1,
+            MERSENNE_61,
+            MERSENNE_61 + 1,
+            u64::MAX,
+            1 << 63,
+        ];
+        for k in [1usize, 2, 3, 8] {
+            for (seed, range) in [(1u64, 5437u64), (2, 2), (3, 1 << 20), (4, u64::MAX)] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let coeffs: Vec<u64> = (0..k).map(|_| rng.gen_range(0..MERSENNE_61)).collect();
+                let h = PolynomialHash::from_seed(k, range, seed);
+                let mut state = seed;
+                let random = (0..2_000).map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    state
+                });
+                for key in keys.into_iter().chain(random) {
+                    assert_eq!(
+                        h.hash(key),
+                        reference_hash(&coeffs, range, key),
+                        "k={k} range={range} key={key}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_INDEPENDENCE")]
+    fn polynomial_rejects_independence_above_the_inline_bound() {
+        let _ = PolynomialHash::from_seed(MAX_INDEPENDENCE + 1, 16, 0);
     }
 
     #[test]

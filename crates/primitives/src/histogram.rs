@@ -1,18 +1,35 @@
-//! Linear-work parallel histogram construction (`buildHist`, Theorem 2.3).
+//! Histogram construction (`buildHist`, Theorem 2.3).
 //!
 //! Given a minibatch of item identifiers, `buildHist` returns the distinct
-//! items together with their frequencies in `O(µ)` expected work and
-//! polylogarithmic depth. Following the paper's proof, items are first
-//! hashed into a range `R = O(µ)` with an `O(log µ)`-wise independent family,
-//! grouped by hash value using the linear-work integer sort (Theorem 2.2),
-//! and each bucket is then collapsed with the `collectBin` routine, whose
-//! cost is proportional to (bucket size × distinct items in the bucket) —
-//! `O(µ)` in expectation by the balls-and-bins argument.
+//! items together with their frequencies in `O(µ)` expected work.
+//!
+//! * [`build_hist`] is Theorem 2.3 as written, with polylogarithmic depth:
+//!   items are hashed into a range `R = O(µ)` with an `O(log µ)`-wise
+//!   independent family, grouped by hash value using the linear-work
+//!   integer sort (Theorem 2.2), and each bucket is then collapsed with the
+//!   `collectBin` routine, whose cost is proportional to (bucket size ×
+//!   distinct items in the bucket) — `O(µ)` in expectation by the
+//!   balls-and-bins argument. The experiments and the tests use it.
+//! * [`build_hist_into`] is the sequential kernel every shard worker runs:
+//!   one pass over a reused linear-probing table keyed by simple
+//!   tabulation hashing, with tables drawn from per-process randomness so
+//!   that wire clients cannot aim keys at one probe chain. With simple
+//!   tabulation, linear probing takes
+//!   `O(1)` expected probes per operation (Pătraşcu–Thorup, "The Power of
+//!   Simple Tabulation Hashing"), so the kernel keeps the `O(µ)`
+//!   expected-work bound with a much smaller constant factor.
 //!
 //! [`build_hist_hashmap`] is a fold/reduce hash-map alternative used as the
-//! ablation point called out in DESIGN.md §5.
+//! ablation point of the `hist_ablation` bench (README, "Experiments and
+//! benchmarks").
+
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 
 use rayon::prelude::*;
+
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 
 use crate::hash::{HashFamily, PolynomialHash};
 use crate::intsort::sort_indices_by_key;
@@ -110,24 +127,34 @@ fn sequential_hist(items: &[u64]) -> Vec<HistogramEntry> {
         .collect()
 }
 
-/// Reusable scratch buffers for [`build_hist_into`]: the hash values, the
-/// counting-sort bucket table, the sorted permutation, and the small-batch
-/// hash map. After a warm-up batch of each size class, repeated calls
-/// perform **zero heap allocations** — the buffers only ever grow.
+/// Simple tabulation hashing of a 64-bit key: one table of random words
+/// per key byte, XORed together.
+type Tabulation = [[u64; 256]; 8];
+
+fn tabulation_hash(tables: &Tabulation, key: u64) -> u64 {
+    tables
+        .iter()
+        .zip(key.to_le_bytes())
+        .fold(0, |h, (table, byte)| h ^ table[byte as usize])
+}
+
+/// Reusable state for [`build_hist_into`]: the tabulation tables, the
+/// linear-probing table and the list of slots the current call filled.
+/// Every buffer only grows, so after a warm-up batch of the largest size
+/// repeated calls perform **zero heap allocations**.
 #[derive(Debug, Default)]
 pub struct HistScratch {
-    /// Per-item hash values (large-batch path).
-    hashes: Vec<u64>,
-    /// Counting-sort bucket counters / running offsets, one per hash value.
-    buckets: Vec<u32>,
-    /// Item indices grouped by hash value.
-    perm: Vec<u32>,
-    /// Small-batch accumulator (`µ ≤ SEQ_THRESHOLD`); `clear` keeps its
-    /// table, so steady-state small batches allocate nothing either.
-    map: std::collections::HashMap<u64, u64>,
-    /// The histogram hash function, reseeded in place per batch
-    /// ([`PolynomialHash::reseed`]) so its coefficient buffer is reused.
-    hasher: Option<PolynomialHash>,
+    /// Tabulation tables, drawn once, on first use, from per-process
+    /// randomness mixed with the first seed passed to [`build_hist_into`].
+    tables: Option<Box<Tabulation>>,
+    /// Linear-probing table of `1 + index` of the item's row in the
+    /// output (`0` = empty), all empty between calls. Its power-of-two
+    /// length is the largest batch's; each call probes only the prefix
+    /// sized for its own batch.
+    slots: Vec<u32>,
+    /// Slots filled by the current call, emptied again before it returns.
+    /// (Deleting slots one by one in place would break probe chains.)
+    used: Vec<u32>,
 }
 
 impl HistScratch {
@@ -137,21 +164,31 @@ impl HistScratch {
     }
 }
 
-/// Allocation-free variant of [`build_hist`]: writes the histogram of
-/// `items` into `out` (cleared first), drawing every intermediate buffer
+/// Sequential variant of [`build_hist`] for per-shard ingest: writes the
+/// histogram of `items` into `out` (cleared first), drawing every buffer
 /// from `scratch`.
 ///
-/// Produces the same multiset of [`HistogramEntry`] rows as [`build_hist`]
-/// (entry *order* is unspecified for both). Unlike `build_hist` it is
-/// deliberately sequential: it exists for per-shard ingest hot paths — the
-/// sharded engine already runs one worker per core, so intra-batch
-/// parallelism inside a shard would only fight the other shards for cores,
-/// while the fresh `Vec`s of the parallel version (`hashes`, the sort, the
-/// bucket outputs) dominate its constant factor. Work is `O(µ)` expected,
-/// by the same hash-group-collect structure as Theorem 2.3: items are
-/// hashed into a range `R = O(µ)`, grouped with a counting sort over the
-/// reused bucket table, and each group collapsed with the `collectBin`
-/// scan.
+/// Produces the same multiset of [`HistogramEntry`] rows as [`build_hist`],
+/// in **first-occurrence order**, so the output does not depend on any
+/// hash function. One pass inserts each item into a linear-probing table
+/// of at least `2µ` slots (load ≤ ½) keyed by simple tabulation hashing —
+/// `O(1)` expected probes per item, `O(µ)` expected work — and then resets
+/// only the slots it filled.
+///
+/// The tabulation tables are drawn on the first call with a given
+/// `scratch`, from per-process randomness mixed with `seed`, and kept for
+/// the life of the scratch: re-deriving 2048 random words per batch would
+/// cost more than hashing a small batch. Keys arrive over the wire, so the
+/// tables must not be computable offline — a client that knew them could
+/// send keys that share their slot bits and make every batch cost
+/// `O(µ²)` probes. The output never depends on the tables or on `seed`.
+///
+/// It is deliberately sequential: the sharded engine already runs one
+/// worker per core, so intra-batch parallelism inside a shard would only
+/// fight the other shards for cores.
+///
+/// # Panics
+/// Panics if `items` holds `2^31` or more items (slots are `u32`).
 pub fn build_hist_into(
     items: &[u64],
     seed: u64,
@@ -160,76 +197,48 @@ pub fn build_hist_into(
 ) {
     out.clear();
     let mu = items.len();
-    if mu == 0 {
-        return;
+    assert!(mu < 1 << 31, "build_hist_into: batch too large");
+    let tables = scratch.tables.get_or_insert_with(|| {
+        let mut rng = StdRng::seed_from_u64(RandomState::new().hash_one(seed));
+        let mut tables = Box::new([[0u64; 256]; 8]);
+        tables
+            .iter_mut()
+            .flatten()
+            .for_each(|w| *w = rng.next_u64());
+        tables
+    });
+    let size = (2 * mu).next_power_of_two().max(16);
+    if scratch.slots.len() < size {
+        scratch.slots.resize(size, 0);
     }
-    if mu <= SEQ_THRESHOLD {
-        scratch.map.clear();
-        for &x in items {
-            *scratch.map.entry(x).or_insert(0u64) += 1;
-        }
-        out.extend(
-            scratch
-                .map
-                .iter()
-                .map(|(&item, &count)| HistogramEntry { item, count }),
-        );
-        return;
-    }
-
-    // Hash into a range R = O(µ), exactly as `build_hist`.
-    let range = (mu as u64).next_power_of_two().max(16) as usize;
-    let hasher = match &mut scratch.hasher {
-        Some(hasher) => {
-            hasher.reseed(8, range as u64, seed);
-            &*hasher
-        }
-        slot @ None => slot.insert(PolynomialHash::from_seed(8, range as u64, seed)),
-    };
-    scratch.hashes.clear();
-    scratch.hashes.extend(items.iter().map(|&x| hasher.hash(x)));
-
-    // Group identical hash values with a counting sort over the reused
-    // bucket table (grow-only; zeroing it is O(R) = O(µ) per batch).
-    if scratch.buckets.len() < range {
-        scratch.buckets.resize(range, 0);
-    }
-    let buckets = &mut scratch.buckets[..range];
-    buckets.fill(0);
-    for &h in &scratch.hashes {
-        buckets[h as usize] += 1;
-    }
-    // Exclusive prefix sums turn counts into running write offsets.
-    let mut running = 0u32;
-    for b in buckets.iter_mut() {
-        let count = *b;
-        *b = running;
-        running += count;
-    }
-    scratch.perm.clear();
-    scratch.perm.resize(mu, 0);
-    for (idx, &h) in scratch.hashes.iter().enumerate() {
-        let slot = &mut buckets[h as usize];
-        scratch.perm[*slot as usize] = idx as u32;
-        *slot += 1;
-    }
-
-    // collectBin per hash group, appending directly into `out`: within one
-    // group, duplicates are folded with a linear scan over the group's own
-    // tail of `out` (few distinct items per bucket w.h.p., Theorem 2.3).
-    let mut i = 0usize;
-    while i < mu {
-        let group_hash = scratch.hashes[scratch.perm[i] as usize];
-        let group_start = out.len();
-        while i < mu && scratch.hashes[scratch.perm[i] as usize] == group_hash {
-            let item = items[scratch.perm[i] as usize];
-            match out[group_start..].iter_mut().find(|e| e.item == item) {
-                Some(e) => e.count += 1,
-                None => out.push(HistogramEntry { item, count: 1 }),
+    // Every slot is empty between calls, so any prefix is an empty table.
+    let slots = &mut scratch.slots[..size];
+    let mask = size - 1;
+    for &item in items {
+        let mut i = tabulation_hash(tables, item) as usize & mask;
+        loop {
+            match slots[i] {
+                0 => {
+                    out.push(HistogramEntry { item, count: 1 });
+                    slots[i] = out.len() as u32;
+                    scratch.used.push(i as u32);
+                    break;
+                }
+                row => {
+                    let entry = &mut out[row as usize - 1];
+                    if entry.item == item {
+                        entry.count += 1;
+                        break;
+                    }
+                }
             }
-            i += 1;
+            i = (i + 1) & mask;
         }
     }
+    for &i in &scratch.used {
+        slots[i as usize] = 0;
+    }
+    scratch.used.clear();
 }
 
 /// Fold/reduce hash-map histogram (ablation baseline for `build_hist`).
@@ -387,6 +396,126 @@ mod tests {
             build_hist_into(items, round as u64 * 31 + 7, &mut scratch, &mut out);
             check_against_reference(items, &out);
         }
+    }
+
+    /// Exact histogram in first-occurrence order.
+    fn first_occurrence_reference(items: &[u64]) -> Vec<HistogramEntry> {
+        let mut row = HashMap::new();
+        let mut out: Vec<HistogramEntry> = Vec::new();
+        for &item in items {
+            let i = *row.entry(item).or_insert_with(|| {
+                out.push(HistogramEntry { item, count: 0 });
+                out.len() - 1
+            });
+            out[i].count += 1;
+        }
+        out
+    }
+
+    /// Batch shapes that stress a byte-keyed linear-probing table.
+    fn shaped_batch(shape: u8, mu: usize, param: u64) -> Vec<u64> {
+        let mu = mu as u64;
+        match shape {
+            // Keys equal in their five low bytes.
+            0 => (0..mu)
+                .map(|j| ((j % 211 + 1) << 40) | (param & 0xFF_FFFF_FFFF))
+                .collect(),
+            // Power-of-two-stride progressions (wrapping).
+            1 => {
+                let stride = 1u64 << (param % 64);
+                (0..mu)
+                    .map(|j| param.wrapping_add(j.wrapping_mul(stride)))
+                    .collect()
+            }
+            // One hot key among a sprinkle of others.
+            2 => (0..mu)
+                .map(|j| if j % 16 == 5 { j } else { param })
+                .collect(),
+            // All distinct.
+            3 => (0..mu)
+                .map(|j| {
+                    let mut z = param.wrapping_add(j.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    z ^ (z >> 31)
+                })
+                .collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// µ at the edges where the probing table grows, plus 0 and 1.
+    fn growth_edges() -> Vec<usize> {
+        let mut edges = vec![0, 1];
+        for k in 3..14 {
+            edges.extend([(1usize << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        edges
+    }
+
+    thread_local! {
+        /// One scratch reused by every case, so a slot left filled by one
+        /// shape corrupts a later one.
+        static SHARED: std::cell::RefCell<(HistScratch, Vec<HistogramEntry>)> =
+            std::cell::RefCell::new((HistScratch::new(), Vec::new()));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn scratch_variant_is_the_exact_first_occurrence_histogram(
+            shape in 0u8..5,
+            at_edge in proptest::prelude::any::<bool>(),
+            edge in 0usize..growth_edges().len(),
+            random_mu in 0usize..5000,
+            param in proptest::prelude::any::<u64>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mu = if at_edge { growth_edges()[edge] } else { random_mu };
+            let items = shaped_batch(shape, mu, param);
+            SHARED.with(|shared| {
+                let (scratch, out) = &mut *shared.borrow_mut();
+                build_hist_into(&items, seed, scratch, out);
+                assert_eq!(*out, first_occurrence_reference(&items));
+                assert!(scratch.slots.iter().all(|&s| s == 0), "slot left filled");
+                assert!(scratch.used.is_empty());
+            });
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn small_batches_after_a_large_one_stay_exact(
+            large_mu in 20_000usize..70_000,
+            smalls in proptest::prop::collection::vec((0usize..600, 0u8..5), 1..8),
+            param in proptest::prelude::any::<u64>(),
+        ) {
+            let mut scratch = HistScratch::new();
+            let mut out = Vec::new();
+            let large = shaped_batch(3, large_mu, param);
+            build_hist_into(&large, 0, &mut scratch, &mut out);
+            assert_eq!(out, first_occurrence_reference(&large));
+            let grown = scratch.slots.len();
+            for &(mu, shape) in &smalls {
+                let items = shaped_batch(shape, mu, param ^ mu as u64);
+                build_hist_into(&items, 0, &mut scratch, &mut out);
+                assert_eq!(out, first_occurrence_reference(&items));
+                assert_eq!(scratch.slots.len(), grown, "table must not shrink");
+                assert!(scratch.slots.iter().all(|&s| s == 0), "slot left filled");
+            }
+        }
+    }
+
+    #[test]
+    fn tables_are_not_a_function_of_the_seed() {
+        let mut a = HistScratch::new();
+        let mut b = HistScratch::new();
+        let mut out = Vec::new();
+        build_hist_into(&[1, 2, 3], 42, &mut a, &mut out);
+        build_hist_into(&[1, 2, 3], 42, &mut b, &mut out);
+        assert_ne!(a.tables, b.tables, "tables must be drawn per process");
     }
 
     #[test]

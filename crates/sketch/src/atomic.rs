@@ -3,14 +3,20 @@
 //! [`crate::ParallelCountMin`] is a plain-memory sketch: sharing it between
 //! an ingesting shard worker and concurrent point queries requires a mutex,
 //! which serialises the worker's `O((µ + w)·d)` batch update against every
-//! `O(d)` query — the one lock left on the engine's ingest hot path after
-//! snapshot publication went atomic. [`AtomicCountMin`] removes it by
-//! storing the counter matrix as [`AtomicU64`]s:
+//! `O(d)` query. [`AtomicCountMin`] removes it by storing the counter
+//! matrix as [`AtomicU64`]s:
 //!
-//! * the (single) writer adds histogram counts with **relaxed**
-//!   `fetch_add`s — an atomic read-modify-write per `(row, distinct item)`;
+//! * the **single** writer adds histogram counts with a relaxed load and a
+//!   relaxed store per `(row, distinct item)` — no read-modify-write, so no
+//!   `lock`-prefixed instruction on the ingest path;
 //! * readers take **relaxed** loads and the row-wise minimum, with no
 //!   synchronisation against the writer at all.
+//!
+//! Each sketch has exactly one writer: the shard worker that owns it, or a
+//! thread-local producer's own substream. The writer role may pass to
+//! another thread only through a happens-before edge (a channel send, a
+//! join). Debug builds assert one writer at a time with a flag that every
+//! [`AtomicCountMin::ingest_histogram`] sets and clears.
 //!
 //! ## Why relaxed ordering preserves the Count-Min guarantee
 //!
@@ -19,29 +25,27 @@
 //! and overestimates by at most `ε·m` (w.h.p.). Both sides survive relaxed
 //! atomics:
 //!
-//! * **No increment is ever lost.** `fetch_add` is an atomic RMW; relaxed
-//!   ordering weakens *when other threads observe* an increment, never
-//!   whether it happens. Every counter is monotonically non-decreasing.
-//! * **A read observes some prefix of each counter's increments.** A
-//!   concurrent query may see row `i` already updated by a batch and row
-//!   `j` not yet — so the row-wise min is an overestimate of the item's
-//!   frequency in the *least-advanced visible prefix*, and a lower bound
-//!   on nothing it shouldn't be: each counter the min inspects only ever
-//!   contains real mass from routed occurrences (plus collisions), so the
-//!   answer still never under-counts any prefix it claims to cover.
+//! * **No increment is lost, because there is one writer.** Only the
+//!   writer stores to a counter, and it loads the value it wrote last
+//!   (program order on one thread), so load + store never races another
+//!   update. Every counter is monotonically non-decreasing, and the
+//!   writer's own reads (e.g. a persistence clone on the worker thread)
+//!   are exact.
+//! * **A read observes some prefix of each counter's updates.** Each
+//!   counter is a single atomic word, written only with larger values, so
+//!   a reader sees one of those values — never a torn or older-than-seen
+//!   one. A concurrent query may see row `i` already updated by a batch
+//!   and row `j` not yet; every counter the min inspects holds at least
+//!   the mass of the prefix it has seen, and that prefix contains every
+//!   batch the reader has synchronised with, so the answer stays an
+//!   overestimate of the item's frequency over that prefix.
 //! * **The upper bound is inherited.** Counters never exceed what the
 //!   plain-memory sketch would hold after the same updates, so
 //!   `f̂ ≤ f + ε·m` holds with the same probability once the writer's
 //!   updates are visible (e.g. after a queue drain, or via the engine's
 //!   snapshot-publication `Release`/`Acquire` edge, which orders the
-//!   relaxed adds of every batch at or before the snapshot's epoch before
-//!   any reader that loaded that snapshot).
-//!
-//! With **multiple** writers the same argument holds per increment (RMWs
-//! from different threads interleave without losing updates), but this
-//! engine only ever has one writer per shard, which additionally makes the
-//! writer's own reads (e.g. a persistence clone on the worker thread)
-//! exact.
+//!   relaxed stores of every batch at or before the snapshot's epoch
+//!   before any reader that loaded that snapshot).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -68,9 +72,36 @@ pub struct AtomicCountMin {
     /// Row-major `depth × width` counter matrix.
     counters: Vec<AtomicU64>,
     hashes: Vec<PolynomialHash>,
-    /// Total mass added (`m`); incremented after the counter adds, so it
+    /// Total mass added (`m`); advanced after the counter stores, so it
     /// trails them — a reader never sees a total ahead of the counters.
     total: AtomicU64,
+    /// Set while a writer is inside [`AtomicCountMin::ingest_histogram`]
+    /// (debug builds only), to catch a second, concurrent writer.
+    #[cfg(debug_assertions)]
+    writing: std::sync::atomic::AtomicBool,
+}
+
+/// Debug-build guard asserting one writer at a time: sets the writer flag
+/// on entry and clears it on drop, so an unwinding writer clears it too.
+#[cfg(debug_assertions)]
+struct SoleWriter<'a>(&'a std::sync::atomic::AtomicBool);
+
+#[cfg(debug_assertions)]
+impl<'a> SoleWriter<'a> {
+    fn enter(flag: &'a std::sync::atomic::AtomicBool) -> Self {
+        assert!(
+            !flag.swap(true, Ordering::Acquire),
+            "AtomicCountMin: concurrent writers (the sketch is single-writer)"
+        );
+        Self(flag)
+    }
+}
+
+#[cfg(debug_assertions)]
+impl Drop for SoleWriter<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
+    }
 }
 
 impl AtomicCountMin {
@@ -97,7 +128,7 @@ impl AtomicCountMin {
             .flat_map(|row| row.iter().map(|&c| AtomicU64::new(c)))
             .collect();
         let depth = inner.depth();
-        let hashes = (0..depth).map(|row| inner.row_hash(row).clone()).collect();
+        let hashes = (0..depth).map(|row| *inner.row_hash(row)).collect();
         Self {
             epsilon: inner.epsilon(),
             delta: inner.delta(),
@@ -108,6 +139,8 @@ impl AtomicCountMin {
             counters,
             hashes,
             total: AtomicU64::new(inner.total()),
+            #[cfg(debug_assertions)]
+            writing: std::sync::atomic::AtomicBool::new(false),
         }
     }
 
@@ -139,22 +172,31 @@ impl AtomicCountMin {
         &self.counters[row * self.width..(row + 1) * self.width]
     }
 
-    /// Adds one minibatch's histogram: one relaxed `fetch_add` per
-    /// `(row, distinct item)` and no allocation. `&self` — the writer needs
-    /// no exclusive access.
+    /// Adds one minibatch's histogram: one relaxed load + store per
+    /// `(row, distinct item)` and no allocation. `&self`, so readers query
+    /// concurrently — but there must be only one writer (see the module
+    /// docs; debug builds assert it).
     pub fn ingest_histogram(&self, hist: &[HistogramEntry]) {
         if hist.is_empty() {
             return;
         }
-        let mut added = 0u64;
-        for entry in hist {
-            added += entry.count;
-            for (row, hash) in self.hashes.iter().enumerate() {
-                let col = hash.hash(entry.item) as usize;
-                self.row(row)[col].fetch_add(entry.count, Ordering::Relaxed);
+        #[cfg(debug_assertions)]
+        let _writer = SoleWriter::enter(&self.writing);
+        for (row, hash) in self.hashes.iter().enumerate() {
+            let counters = self.row(row);
+            for entry in hist {
+                let counter = &counters[hash.hash(entry.item) as usize];
+                counter.store(
+                    counter.load(Ordering::Relaxed) + entry.count,
+                    Ordering::Relaxed,
+                );
             }
         }
-        self.total.fetch_add(added, Ordering::Relaxed);
+        let added: u64 = hist.iter().map(|e| e.count).sum();
+        self.total.store(
+            self.total.load(Ordering::Relaxed) + added,
+            Ordering::Relaxed,
+        );
     }
 
     /// Lock-free point query: the row-wise minimum under relaxed loads —
@@ -228,6 +270,46 @@ mod tests {
         }
         // The snapshot is byte-equal state: same counters, same params.
         assert_eq!(atomic.to_parallel(), plain);
+    }
+
+    #[test]
+    fn snapshot_equals_a_parallel_sketch_fed_the_same_histograms() {
+        // The engine's histograms (first-occurrence order from the shard
+        // kernel), several sketch shapes, skewed and distinct-heavy batches.
+        let mut scratch = psfa_primitives::HistScratch::new();
+        let mut hist = Vec::new();
+        for (epsilon, delta, seed) in [(0.0005, 0.01, 3u64), (0.01, 0.2, 11), (0.3, 0.5, 0)] {
+            let atomic = AtomicCountMin::new(epsilon, delta, seed);
+            let mut plain = ParallelCountMin::new(epsilon, delta, seed);
+            let mut state = seed;
+            for batch in 0..30u64 {
+                let items: Vec<u64> = (0..1_000)
+                    .map(|_| {
+                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        let r = state >> 20;
+                        if batch % 2 == 0 {
+                            r % 50
+                        } else {
+                            r
+                        }
+                    })
+                    .collect();
+                psfa_primitives::build_hist_into(&items, batch, &mut scratch, &mut hist);
+                atomic.ingest_histogram(&hist);
+                plain.ingest_histogram(&hist);
+            }
+            assert_eq!(atomic.to_parallel(), plain);
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "concurrent writers")]
+    fn a_second_concurrent_writer_is_caught_in_debug_builds() {
+        let sketch = AtomicCountMin::new(0.1, 0.1, 1);
+        // Another writer is mid-batch.
+        let _other = SoleWriter::enter(&sketch.writing);
+        sketch.ingest_histogram(&[HistogramEntry { item: 1, count: 1 }]);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! parallel minibatch version of Section 6 builds on.
 
 use psfa_primitives::codec::{put_header, ByteReader, ByteWriter, CodecError};
-use psfa_primitives::{HashFamily, PolynomialHash};
+use psfa_primitives::{HashFamily, HistogramEntry, PolynomialHash};
+use rayon::prelude::*;
 
 /// Type tag for encoded Count-Min sketches (see `psfa_primitives::codec`).
 const TAG: u8 = 0x07;
@@ -102,7 +103,7 @@ impl CountMinSketch {
         self.width * self.depth
     }
 
-    /// Column used by row `row` for `item` (exposed for the parallel updater).
+    /// Column used by row `row` for `item` (exposed for the parallel query).
     pub(crate) fn column(&self, row: usize, item: u64) -> usize {
         self.hashes[row].hash(item) as usize
     }
@@ -158,14 +159,18 @@ impl CountMinSketch {
             .unwrap_or(0)
     }
 
-    /// Mutable access to a row (used by the parallel minibatch updater).
-    pub(crate) fn rows_mut(&mut self) -> &mut Vec<Vec<u64>> {
-        &mut self.rows
-    }
-
-    /// Adds to the running total (used by the parallel minibatch updater).
-    pub(crate) fn add_total(&mut self, count: u64) {
-        self.total += count;
+    /// Adds a minibatch histogram (Section 6): one task per row adds each
+    /// entry's count to its column, so no two tasks write the same counter.
+    pub(crate) fn add_histogram(&mut self, hist: &[HistogramEntry]) {
+        self.rows
+            .par_iter_mut()
+            .zip(&self.hashes)
+            .for_each(|(row, hash)| {
+                for e in hist {
+                    row[hash.hash(e.item) as usize] += e.count;
+                }
+            });
+        self.total += hist.iter().map(|e| e.count).sum::<u64>();
     }
 
     /// Read-only access to the counter matrix (tests / experiments).

@@ -93,29 +93,21 @@ impl CountSketch {
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(1);
         let hist = build_hist(minibatch, self.seed);
-        let added: u64 = hist.iter().map(|e| e.count).sum();
-        let updates: Vec<Vec<(usize, i64)>> = (0..self.depth)
-            .into_par_iter()
-            .map(|row| {
-                hist.iter()
-                    .map(|e| {
-                        (
-                            self.bucket_hashes[row].hash(e.item) as usize,
-                            self.sign(row, e.item) * e.count as i64,
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
+        // One task per row, so no two tasks write the same counter.
         self.rows
             .par_iter_mut()
-            .zip(updates.into_par_iter())
-            .for_each(|(row, ups)| {
-                for (col, delta) in ups {
-                    row[col] += delta;
+            .zip(self.bucket_hashes.iter().zip(&self.sign_hashes))
+            .for_each(|(row, (bucket, sign))| {
+                for e in &hist {
+                    let count = e.count as i64;
+                    row[bucket.hash(e.item) as usize] += if sign.hash(e.item) == 0 {
+                        -count
+                    } else {
+                        count
+                    };
                 }
             });
-        self.total += added;
+        self.total += minibatch.len() as u64;
     }
 
     /// Point query: the median of the per-row signed estimates (may be

@@ -1,12 +1,11 @@
 //! Parallel Count-Min minibatch ingestion (Theorem 6.1).
 //!
 //! Instead of touching the sketch once per stream element, the minibatch is
-//! first collapsed into a histogram with `buildHist` (Theorem 2.3); then, for
-//! every row in parallel, the histogram entries are grouped by their target
-//! column with the linear-work integer sort and each column receives one
-//! combined increment. Work per minibatch is `O(µ + (µ + w)·d)` and the
-//! depth is polylogarithmic; point queries take `O(d)` work with an
-//! `O(log d)`-depth parallel min-reduction.
+//! first collapsed into a histogram with `buildHist` (Theorem 2.3); then
+//! every row, in parallel, adds each distinct item's count to its column —
+//! one task per row, so no two tasks write the same counter. Work per
+//! minibatch is `O(µ + p·d)` for `p` distinct items; point queries take
+//! `O(d)` work with an `O(log d)`-depth parallel min-reduction.
 
 use psfa_primitives::codec::{put_header, ByteReader, ByteWriter, CodecError};
 use psfa_primitives::{build_hist, HistogramEntry};
@@ -78,34 +77,7 @@ impl ParallelCountMin {
     /// Incorporates a pre-computed histogram (useful when the caller already
     /// ran `buildHist`, e.g. a pipeline stage shared with other aggregates).
     pub fn ingest_histogram(&mut self, hist: &[HistogramEntry]) {
-        if hist.is_empty() {
-            return;
-        }
-        let added: u64 = hist.iter().map(|e| e.count).sum();
-        let depth = self.sketch.depth();
-        // Pre-compute, for every row, the (column, count) pairs. Reading the
-        // hash functions is immutable, so this pass can run before the rows
-        // are mutated.
-        let per_row_updates: Vec<Vec<(usize, u64)>> = (0..depth)
-            .into_par_iter()
-            .map(|row| {
-                hist.iter()
-                    .map(|e| (self.sketch.column(row, e.item), e.count))
-                    .collect()
-            })
-            .collect();
-        // Every row is owned by exactly one task: simultaneous column updates
-        // within a row are combined by that task, so no atomics are needed.
-        self.sketch
-            .rows_mut()
-            .par_iter_mut()
-            .zip(per_row_updates.into_par_iter())
-            .for_each(|(row, updates)| {
-                for (col, count) in updates {
-                    row[col] += count;
-                }
-            });
-        self.sketch.add_total(added);
+        self.sketch.add_histogram(hist);
     }
 
     /// Point query: an overestimate of `item`'s frequency, computed with a

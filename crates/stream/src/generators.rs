@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates nothing empirically and cites network-monitoring
 //! workloads only as motivation; these generators provide the corresponding
-//! synthetic inputs (documented as a substitution in DESIGN.md §3). All
+//! synthetic inputs, a substitution for the paper's motivating traces. All
 //! generators are deterministic functions of their seed.
 
 use rand::rngs::StdRng;
@@ -180,7 +180,7 @@ impl StreamGenerator for AdversarialChurnGenerator {
 /// A synthetic packet-flow trace: flow identifiers whose sizes follow a
 /// heavy-tailed (Pareto-like) distribution, emitted in interleaved runs —
 /// the stand-in for the network traces of \[EV03, CH10\] that motivate the
-/// paper (see DESIGN.md §3).
+/// paper.
 #[derive(Debug, Clone)]
 pub struct PacketTraceGenerator {
     active_flows: Vec<(u64, u64)>, // (flow id, remaining packets)
